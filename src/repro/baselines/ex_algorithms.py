@@ -30,9 +30,31 @@ DEFAULT_ALPHA = 0.3
 DEFAULT_DELTA = 0.5
 
 
-def _run(csr: CSR, step, k: int, burnin: int, n_sims: int,
-         rng: np.random.Generator) -> np.ndarray:
-    """Run a kernel; returns (n_sims, k) sampled undirected edge ids."""
+def sample_edges(name: str, csr: CSR, line_deg: np.ndarray, k: int,
+                 burnin: int, n_sims: int, rng: np.random.Generator,
+                 alpha: float = DEFAULT_ALPHA, delta: float = DEFAULT_DELTA
+                 ) -> np.ndarray:
+    """Run one EX-* chain per simulation: burn in, then k steps.
+
+    Returns (n_sims, k) sampled undirected edge ids. The first j columns
+    are exactly what a j-step run from the same generator returns, so
+    one walk serves every smaller budget.
+    """
+    if name == "EX-RW":
+        def step(a):
+            return lg.lg_srw_step(csr, a, rng)
+    elif name in ("EX-MHRW", "EX-RCMH"):
+        beta = 0.0 if name == "EX-MHRW" else 1.0 - alpha
+
+        def step(a):
+            return lg.lg_mh_step(csr, a, rng, line_deg, beta=beta)
+    elif name in ("EX-MDRW", "EX-GMD"):
+        cap = float(line_deg.max()) * (1.0 if name == "EX-MDRW" else delta)
+
+        def step(a):
+            return lg.lg_capped_step(csr, a, rng, line_deg, cap)
+    else:
+        raise ValueError(f"unknown EX sampler {name!r}")
     arcs = lg.uniform_start_arcs(csr, n_sims, rng)
     for _ in range(burnin):
         arcs = step(arcs)
@@ -43,53 +65,61 @@ def _run(csr: CSR, step, k: int, burnin: int, n_sims: int,
     return out
 
 
+def estimate(name: str, ids: np.ndarray, line_deg: np.ndarray,
+             edge_ind: np.ndarray, n_edges: int,
+             alpha: float = DEFAULT_ALPHA, delta: float = DEFAULT_DELTA
+             ) -> np.ndarray:
+    """Per-row estimate of F from (n_sims, k) edge ids of chain ``name``."""
+    i = edge_ind[ids].astype(np.float64)
+    if name in ("EX-MHRW", "EX-MDRW"):  # uniform pi': plain mean
+        return n_edges * i.mean(axis=1)
+    dp = line_deg[ids].astype(np.float64)
+    if name == "EX-RW":
+        w = 1.0 / np.maximum(dp, 1.0)
+    elif name == "EX-RCMH":
+        w = np.maximum(dp, 1.0) ** (alpha - 1.0)
+    elif name == "EX-GMD":
+        w = 1.0 / np.maximum(dp, delta * float(line_deg.max()))
+    else:
+        raise ValueError(f"unknown EX sampler {name!r}")
+    return reweighted_ratio(i * w, w, float(n_edges))
+
+
+def _walk_and_estimate(name: str, csr: CSR, line_deg: np.ndarray,
+                       edge_ind: np.ndarray, k: int, burnin: int,
+                       n_sims: int, rng: np.random.Generator,
+                       **params: float) -> np.ndarray:
+    ids = sample_edges(name, csr, line_deg, k, burnin, n_sims, rng, **params)
+    return estimate(name, ids, line_deg, edge_ind, csr.n_edges, **params)
+
+
 def ex_rw(csr: CSR, line_deg: np.ndarray, edge_ind: np.ndarray, k: int,
           burnin: int, n_sims: int, rng: np.random.Generator) -> np.ndarray:
-    ids = _run(csr, lambda a: lg.lg_srw_step(csr, a, rng), k, burnin, n_sims, rng)
-    i = edge_ind[ids].astype(np.float64)
-    dp = np.maximum(line_deg[ids].astype(np.float64), 1.0)
-    return reweighted_ratio(i / dp, 1.0 / dp, float(csr.n_edges))
+    return _walk_and_estimate("EX-RW", csr, line_deg, edge_ind, k, burnin,
+                              n_sims, rng)
 
 
 def ex_mhrw(csr: CSR, line_deg: np.ndarray, edge_ind: np.ndarray, k: int,
             burnin: int, n_sims: int, rng: np.random.Generator) -> np.ndarray:
-    ids = _run(
-        csr, lambda a: lg.lg_mh_step(csr, a, rng, line_deg, beta=0.0),
-        k, burnin, n_sims, rng,
-    )
-    return csr.n_edges * edge_ind[ids].astype(np.float64).mean(axis=1)
+    return _walk_and_estimate("EX-MHRW", csr, line_deg, edge_ind, k, burnin,
+                              n_sims, rng)
 
 
 def ex_mdrw(csr: CSR, line_deg: np.ndarray, edge_ind: np.ndarray, k: int,
             burnin: int, n_sims: int, rng: np.random.Generator) -> np.ndarray:
-    cap = float(line_deg.max())
-    ids = _run(
-        csr, lambda a: lg.lg_capped_step(csr, a, rng, line_deg, cap),
-        k, burnin, n_sims, rng,
-    )
-    return csr.n_edges * edge_ind[ids].astype(np.float64).mean(axis=1)
+    return _walk_and_estimate("EX-MDRW", csr, line_deg, edge_ind, k, burnin,
+                              n_sims, rng)
 
 
 def ex_rcmh(csr: CSR, line_deg: np.ndarray, edge_ind: np.ndarray, k: int,
             burnin: int, n_sims: int, rng: np.random.Generator,
             alpha: float = DEFAULT_ALPHA) -> np.ndarray:
-    ids = _run(
-        csr, lambda a: lg.lg_mh_step(csr, a, rng, line_deg, beta=1.0 - alpha),
-        k, burnin, n_sims, rng,
-    )
-    i = edge_ind[ids].astype(np.float64)
-    w = np.maximum(line_deg[ids].astype(np.float64), 1.0) ** (alpha - 1.0)
-    return reweighted_ratio(i * w, w, float(csr.n_edges))
+    return _walk_and_estimate("EX-RCMH", csr, line_deg, edge_ind, k, burnin,
+                              n_sims, rng, alpha=alpha)
 
 
 def ex_gmd(csr: CSR, line_deg: np.ndarray, edge_ind: np.ndarray, k: int,
            burnin: int, n_sims: int, rng: np.random.Generator,
            delta: float = DEFAULT_DELTA) -> np.ndarray:
-    cap = delta * float(line_deg.max())
-    ids = _run(
-        csr, lambda a: lg.lg_capped_step(csr, a, rng, line_deg, cap),
-        k, burnin, n_sims, rng,
-    )
-    i = edge_ind[ids].astype(np.float64)
-    w = 1.0 / np.maximum(line_deg[ids].astype(np.float64), cap)
-    return reweighted_ratio(i * w, w, float(csr.n_edges))
+    return _walk_and_estimate("EX-GMD", csr, line_deg, edge_ind, k, burnin,
+                              n_sims, rng, delta=delta)

@@ -48,24 +48,38 @@ def sample_nodes_batch(csr: CSR, k: int, burnin: int, n_sims: int,
     return nodes
 
 
+def cumulative_cost(nodes: np.ndarray, has_target: np.ndarray,
+                    cost_per_node: np.ndarray) -> np.ndarray:
+    """(B, L) API calls spent through each step of each row of ``nodes``.
+
+    Step t costs 1 plus, on the *first* visit of a target-labeled node
+    in its row, that node's exploration cost. Column t depends only on
+    the first t+1 steps, so the array for a long walk holds the spend of
+    every shorter prefix.
+    """
+    order = np.argsort(nodes, axis=1, kind="stable")
+    ranked = np.take_along_axis(nodes, order, axis=1)
+    first_ranked = np.ones(nodes.shape, dtype=bool)
+    first_ranked[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    first = np.empty_like(first_ranked)
+    np.put_along_axis(first, order, first_ranked, axis=1)
+    cost = np.where(has_target[nodes] & first, cost_per_node[nodes], 0)
+    return np.cumsum(1 + cost, axis=1)
+
+
+def steps_within(cum_cost: np.ndarray, budget: int) -> np.ndarray:
+    """Per-row number of affordable steps: the largest n whose cumulative
+    cost is ≤ budget, at least 1 (the walk always takes its first step,
+    as a real crawler would)."""
+    return np.maximum(1, (cum_cost <= budget).sum(axis=1))
+
+
 def budget_cutoffs(nodes: np.ndarray, has_target: np.ndarray,
                    cost_per_node: np.ndarray, budget: int) -> np.ndarray:
-    """Per-run number of affordable steps.
-
-    For each row of ``nodes``: step t costs 1 plus, on the *first* visit
-    of a target-labeled node, that node's exploration cost. Returns the
-    largest n with cumulative cost ≤ budget (at least 1 — the walk
-    always takes its first step, as a real crawler would).
-    """
-    b, length = nodes.shape
-    out = np.empty(b, dtype=np.int64)
-    for i in range(b):
-        row = nodes[i]
-        first = np.zeros(length, dtype=bool)
-        first[np.unique(row, return_index=True)[1]] = True
-        cost = 1 + np.where(has_target[row] & first, cost_per_node[row], 0)
-        out[i] = max(1, int(np.searchsorted(np.cumsum(cost), budget, side="right")))
-    return out
+    """Per-run number of affordable steps of each row of ``nodes`` (see
+    ``cumulative_cost`` for the charges)."""
+    return steps_within(cumulative_cost(nodes, has_target, cost_per_node),
+                        budget)
 
 
 def sample_nodes_budgeted(csr: CSR, budget: int, burnin: int, n_sims: int,
@@ -92,7 +106,8 @@ def hh_estimate(nodes: np.ndarray, t_counts: np.ndarray, degrees: np.ndarray,
                 n_edges: int, n_steps: np.ndarray | None = None) -> np.ndarray:
     """NE-HH per run (Eq. 11), averaged over each run's in-budget steps."""
     m = _mask(nodes, n_steps)
-    vals = n_edges * t_counts[nodes] / degrees[nodes]
+    # float: |E| * T(u) can overflow a 32-bit T(u) array.
+    vals = float(n_edges) * t_counts[nodes] / degrees[nodes]
     return (vals * m).sum(axis=1) / m.sum(axis=1)
 
 

@@ -14,6 +14,11 @@ arc ``a`` we keep:
 ``rev``/``pos`` exist for the implicit line-graph walk: sampling a
 uniform neighbor of edge (u,v) in G' needs "a uniform incident edge of
 u *excluding* (u,v)", done by rotating ``pos`` by 1+r mod d(u).
+
+``tails``, ``pos`` and ``edges`` follow from the other arrays, so a
+compact copy (such as the harness's broadcast) ships only ``indptr``,
+``indices``, ``edge_ids`` and ``rev`` and rebuilds the rest with
+``from_arcs``.
 """
 from __future__ import annotations
 
@@ -79,6 +84,28 @@ def build_csr(edges: np.ndarray, n: int) -> CSR:
     rev = np.empty(2 * e, dtype=np.int64)
     rev[by_eid[0::2]] = by_eid[1::2]
     rev[by_eid[1::2]] = by_eid[0::2]
+    return CSR(
+        n=n, indptr=indptr, indices=indices, tails=tails,
+        edge_ids=edge_ids, rev=rev, pos=pos, edges=edges,
+    )
+
+
+def from_arcs(indptr: np.ndarray, indices: np.ndarray, edge_ids: np.ndarray,
+              rev: np.ndarray) -> CSR:
+    """Rebuild a CSR from its non-derivable arrays (any integer dtype).
+
+    ``tails`` and ``pos`` follow from ``indptr``; row ``edge_ids[a]`` of
+    ``edges`` is the arc's (min, max) endpoint pair, which equals
+    ``build_csr``'s input when that listed every edge as u < v.
+    """
+    n = indptr.shape[0] - 1
+    degrees = np.diff(indptr)
+    tails = np.repeat(np.arange(n, dtype=indices.dtype), degrees)
+    pos = (np.arange(indices.shape[0], dtype=indptr.dtype)
+           - np.repeat(indptr[:-1], degrees))
+    edges = np.empty((indices.shape[0] // 2, 2), dtype=indices.dtype)
+    edges[edge_ids, 0] = np.minimum(tails, indices)
+    edges[edge_ids, 1] = np.maximum(tails, indices)
     return CSR(
         n=n, indptr=indptr, indices=indices, tails=tails,
         edge_ids=edge_ids, rev=rev, pos=pos, edges=edges,

@@ -5,17 +5,24 @@ of 10 algorithms over sample sizes 0.5%|V| … 5%|V|, each cell averaged
 over 200 independent simulations. This harness:
 
 1. builds the CSR/label/T(u)/line-degree arrays once on the driver and
-   broadcasts them,
-2. fans out (sampler × sample-size × simulation-chunk) tasks with
-   ``mapInPandas`` — each task runs a lock-step NumPy batch of
-   independent walkers and emits one F-estimate row per (algorithm,
-   simulation),
+   broadcasts them (32-bit, without the arrays a task can rebuild),
+2. fans out one ``mapInPandas`` task per sampler. The task runs all
+   simulations as one lock-step NumPy batch: each walker burns in once
+   and walks to the largest budget, and every smaller budget k reads the
+   first k steps of that walk, which is how the paper draws a k-step
+   sample (§4.1.2, §4.2.2). It emits one F-estimate row per (algorithm,
+   budget, simulation),
 3. aggregates NRMSE per (algorithm, sample size) with a Spark groupBy.
 
 Sampler granularity: NeighborSample yields both NS-HH and NS-HT from
 one sampled trajectory, NeighborExploration yields NE-HH/NE-HT/NE-RW,
 and each EX-* chain yields its own estimate — so 7 chains produce the
 paper's 10 table rows.
+
+Seeding: a sampler's generator is seeded by (seed, its index in
+``SAMPLERS``) alone, so the rows are a pure function of (context, seed,
+n_sims), and each cell equals a standalone ``run_sampler`` call for its
+budget with that generator (``sampler_rng``).
 """
 from __future__ import annotations
 
@@ -29,7 +36,7 @@ from repro.baselines import ex_algorithms as ex
 from repro.baselines.linegraph import line_degrees
 from repro.core import neighbor_exploration as ne
 from repro.core import neighbor_sample as ns
-from repro.graphs.csr import CSR, build_csr, edge_indicator, t_counts
+from repro.graphs.csr import build_csr, edge_indicator, from_arcs, t_counts
 from repro.graphs.generator import LabeledGraph
 from repro.harness.nrmse import nrmse_agg
 
@@ -53,138 +60,150 @@ SAMPLERS = ["NS", "NE", "EX-RW", "EX-MHRW", "EX-MDRW", "EX-RCMH", "EX-GMD"]
 DEFAULT_FRACS = tuple(round(0.005 * i, 4) for i in range(1, 11))
 
 
+def budgets(sample_fracs: tuple[float, ...], n_nodes: int) -> list[int]:
+    """The API-call budget k of each sample-size fraction of |V|."""
+    return [max(1, int(round(frac * n_nodes))) for frac in sample_fracs]
+
+
+def sampler_rng(seed: int, sampler: str) -> np.random.Generator:
+    """The generator ``simulate_all`` gives ``sampler``'s task."""
+    return np.random.default_rng([seed, SAMPLERS.index(sampler)])
+
+
 def build_context(g: LabeledGraph, pair: tuple[int, int], burnin: int) -> dict:
-    """Precompute every array the samplers need (driver side, once)."""
+    """Precompute every array the samplers need (driver side, once).
+
+    Raises ValueError when the pair has no target edge (Eq. 24 divides
+    by F) or a node has degree 0 (a walk step there has no neighbor to
+    draw). Arc and per-edge arrays are narrowed to 32 and 8 bits to
+    shrink the broadcast.
+    """
     csr = build_csr(g.edges, g.n)
+    degrees = csr.degrees
+    isolated = int((degrees == 0).sum())
+    if isolated:
+        raise ValueError(
+            f"graph {g.name!r} has {isolated} node(s) of degree 0; a random "
+            "walk cannot step from them (restrict it to nodes with edges)")
     ind = edge_indicator(g.edges, g.labels, pair[0], pair[1])
+    f = int(ind.sum())
+    if f == 0:
+        raise ValueError(
+            f"pair {pair} has no target edge in graph {g.name!r} (F = 0); "
+            "NRMSE (Eq. 24) divides by F")
     if pair[0] == pair[1]:
         has_target = g.labels == pair[0]
     else:
         has_target = (g.labels == pair[0]) | (g.labels == pair[1])
+    i32 = np.int32
     return {
         "has_target": has_target,
-        "explore_cost": ne.explore_cost(csr.degrees),
-        "indptr": csr.indptr, "indices": csr.indices, "tails": csr.tails,
-        "edge_ids": csr.edge_ids, "rev": csr.rev, "pos": csr.pos,
-        "edges": csr.edges,
-        "edge_ind": ind,
-        "t_counts": t_counts(g.edges, g.labels, g.n, pair[0], pair[1]),
-        "degrees": csr.degrees,
-        "line_deg": line_degrees(csr),
+        "explore_cost": ne.explore_cost(degrees).astype(i32),
+        "indptr": csr.indptr, "indices": csr.indices.astype(i32),
+        "edge_ids": csr.edge_ids.astype(i32), "rev": csr.rev.astype(i32),
+        "edge_ind": ind.astype(np.int8),
+        "t_counts": t_counts(g.edges, g.labels, g.n, *pair).astype(i32),
+        "degrees": degrees,
+        "line_deg": line_degrees(csr).astype(i32),
         "n_nodes": g.n, "n_edges": g.n_edges,
         "burnin": int(burnin),
-        "F": int(ind.sum()),
+        "F": f,
     }
 
 
-def _csr_from_ctx(ctx: dict) -> CSR:
-    return CSR(
-        n=ctx["n_nodes"], indptr=ctx["indptr"], indices=ctx["indices"],
-        tails=ctx["tails"], edge_ids=ctx["edge_ids"], rev=ctx["rev"],
-        pos=ctx["pos"], edges=ctx["edges"],
-    )
+def run_budgets(ctx: dict, sampler: str, ks: list[int], n_sims: int,
+                rng: np.random.Generator) -> list[dict[str, np.ndarray]]:
+    """Walk ``sampler``'s chains once, burn-in plus max(ks) steps, and
+    estimate every budget k in ``ks`` from the first k steps.
+
+    Returns, in ``ks`` order, per-algorithm estimate vectors of length
+    n_sims. Budget k's entry is bit-identical to ``run_sampler`` with
+    budget k and a generator in the same state: the first k draws of the
+    longer walk are the same draws.
+    """
+    csr = from_arcs(ctx["indptr"], ctx["indices"], ctx["edge_ids"], ctx["rev"])
+    k_max, burnin, n_edges = max(ks), ctx["burnin"], ctx["n_edges"]
+    if sampler == "NS":
+        eids = ns.sample_edges_batch(csr, k_max, burnin, n_sims, rng)
+        return [{
+            "NeighborSample-HH": ns.hh_estimate(eids[:, :k], ctx["edge_ind"], n_edges),
+            "NeighborSample-HT": ns.ht_estimate(eids[:, :k], ctx["edge_ind"], n_edges),
+        } for k in ks]
+    if sampler == "NE":
+        # k is an API-call budget here: exploration calls are charged,
+        # so NE runs fewer walk steps than NS at equal budget.
+        nodes = ne.sample_nodes_batch(csr, k_max, burnin, n_sims, rng)
+        cum = ne.cumulative_cost(nodes, ctx["has_target"], ctx["explore_cost"])
+        out = []
+        for k in ks:
+            n_steps = ne.steps_within(cum[:, :k], k)
+            walk = (nodes[:, :k], ctx["t_counts"], ctx["degrees"])
+            out.append({
+                "NeighborExploration-HH": ne.hh_estimate(*walk, n_edges, n_steps),
+                "NeighborExploration-HT": ne.ht_estimate(*walk, n_edges, n_steps),
+                "NeighborExploration-RW": ne.rw_estimate(
+                    *walk, ctx["n_nodes"], n_steps),
+            })
+        return out
+    line_deg = ctx["line_deg"]
+    ids = ex.sample_edges(sampler, csr, line_deg, k_max, burnin, n_sims, rng)
+    return [{sampler: ex.estimate(sampler, ids[:, :k], line_deg,
+                                  ctx["edge_ind"], n_edges)} for k in ks]
 
 
 def run_sampler(ctx: dict, sampler: str, k: int, n_sims: int,
                 rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Run one chain for a chunk of simulations; return per-algorithm
-    estimate vectors of length n_sims."""
-    csr = _csr_from_ctx(ctx)
-    burnin = ctx["burnin"]
-    if sampler == "NS":
-        eids = ns.sample_edges_batch(csr, k, burnin, n_sims, rng)
-        return {
-            "NeighborSample-HH": ns.hh_estimate(eids, ctx["edge_ind"], ctx["n_edges"]),
-            "NeighborSample-HT": ns.ht_estimate(eids, ctx["edge_ind"], ctx["n_edges"]),
-        }
-    if sampler == "NE":
-        # k is an API-call budget here: exploration calls are charged,
-        # so NE runs fewer walk steps than NS at equal budget.
-        nodes, n_steps = ne.sample_nodes_budgeted(
-            csr, k, burnin, n_sims, ctx["has_target"], ctx["explore_cost"], rng
-        )
-        return {
-            "NeighborExploration-HH": ne.hh_estimate(
-                nodes, ctx["t_counts"], ctx["degrees"], ctx["n_edges"], n_steps),
-            "NeighborExploration-HT": ne.ht_estimate(
-                nodes, ctx["t_counts"], ctx["degrees"], ctx["n_edges"], n_steps),
-            "NeighborExploration-RW": ne.rw_estimate(
-                nodes, ctx["t_counts"], ctx["degrees"], ctx["n_nodes"], n_steps),
-        }
-    fn = {
-        "EX-RW": ex.ex_rw, "EX-MHRW": ex.ex_mhrw, "EX-MDRW": ex.ex_mdrw,
-        "EX-RCMH": ex.ex_rcmh, "EX-GMD": ex.ex_gmd,
-    }[sampler]
-    est = fn(csr, ctx["line_deg"], ctx["edge_ind"], k, burnin, n_sims, rng)
-    return {sampler: est}
+    """One budget-k cell of one chain: per-algorithm estimate vectors of
+    length n_sims."""
+    return run_budgets(ctx, sampler, [k], n_sims, rng)[0]
 
 
 def simulate_all(spark: SparkSession, ctx: dict,
                  sample_fracs: tuple[float, ...] = DEFAULT_FRACS,
-                 n_sims: int = 60, seed: int = 0, chunk: int = 15,
+                 n_sims: int = 60, seed: int = 0,
                  samplers: list[str] | None = None) -> DataFrame:
-    """Fan the Monte Carlo out over Spark.
+    """Fan the Monte Carlo out over Spark, one task per sampler.
 
     Returns a DataFrame (algorithm, frac, k, sim, est) with one row per
-    (algorithm, simulation).
+    (algorithm, budget, simulation).
     """
     samplers = samplers or SAMPLERS
-    n_nodes = ctx["n_nodes"]
-    tasks = []
-    for s_idx, sampler in enumerate(samplers):
-        for f_idx, frac in enumerate(sample_fracs):
-            k = max(1, int(round(frac * n_nodes)))
-            start = 0
-            c_idx = 0
-            while start < n_sims:
-                size = min(chunk, n_sims - start)
-                tasks.append(
-                    (sampler, float(frac), int(k), int(start), int(size),
-                     int(s_idx), int(f_idx), int(c_idx))
-                )
-                start += size
-                c_idx += 1
-    tasks_pdf = pd.DataFrame(
-        tasks,
-        columns=["sampler", "frac", "k", "sim0", "n", "s_idx", "f_idx", "c_idx"],
-    )
-    sc = spark.sparkContext
-    bc = sc.broadcast(ctx)
+    fracs = [float(f) for f in sample_fracs]
+    ks = budgets(fracs, ctx["n_nodes"])
+    bc = spark.sparkContext.broadcast(ctx)
 
-    def run_chunk(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def run_task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         local_ctx = bc.value
         for pdf in batches:
-            for row in pdf.itertuples(index=False):
-                rng = np.random.default_rng(
-                    [seed, row.s_idx, row.f_idx, row.c_idx]
-                )
-                ests = run_sampler(local_ctx, row.sampler, row.k, row.n, rng)
-                for alg, vec in ests.items():
-                    yield pd.DataFrame(
-                        {
-                            "algorithm": alg,
-                            "frac": row.frac,
-                            "k": row.k,
-                            "sim": np.arange(row.sim0, row.sim0 + row.n),
-                            "est": vec.astype(np.float64),
-                        }
-                    )
+            for i in pdf["id"]:
+                sampler = samplers[i]
+                cells = run_budgets(local_ctx, sampler, ks, n_sims,
+                                    sampler_rng(seed, sampler))
+                yield pd.concat([
+                    pd.DataFrame({
+                        "algorithm": alg, "frac": frac, "k": k,
+                        "sim": np.arange(n_sims),
+                        "est": vec.astype(np.float64),
+                    })
+                    for frac, k, ests in zip(fracs, ks, cells)
+                    for alg, vec in ests.items()
+                ], ignore_index=True)
 
-    tasks_df = spark.createDataFrame(tasks_pdf).repartition(len(tasks))
+    # One partition per sampler: each sampler is exactly one task.
+    tasks = spark.range(len(samplers), numPartitions=len(samplers))
     schema = "algorithm string, frac double, k long, sim long, est double"
-    return tasks_df.mapInPandas(run_chunk, schema=schema)
+    return tasks.mapInPandas(run_task, schema=schema)
 
 
 def nrmse_table(spark: SparkSession, g: LabeledGraph, pair: tuple[int, int],
                 burnin: int, sample_fracs: tuple[float, ...] = DEFAULT_FRACS,
-                n_sims: int = 60, seed: int = 0, chunk: int = 15,
+                n_sims: int = 60, seed: int = 0,
                 samplers: list[str] | None = None) -> pd.DataFrame:
     """One paper-style NRMSE table: rows = algorithms (paper order),
     columns = sample-size fractions, values = NRMSE over n_sims."""
     ctx = build_context(g, pair, burnin)
     est = simulate_all(
-        spark, ctx, sample_fracs, n_sims=n_sims, seed=seed, chunk=chunk,
-        samplers=samplers,
+        spark, ctx, sample_fracs, n_sims=n_sims, seed=seed, samplers=samplers,
     )
     agg = nrmse_agg(est, float(ctx["F"]), ["algorithm", "frac"]).toPandas()
     pivot = agg.pivot(index="algorithm", columns="frac", values="nrmse")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.csr import build_csr, edge_indicator, t_counts
+from repro.graphs.csr import build_csr, edge_indicator, from_arcs, t_counts
 from repro.graphs.generator import social_graph
 from tests import _helpers as H
 
@@ -32,6 +32,21 @@ class TestBuildCSR:
                              ids=["triangle", "path4", "star", "random"])
     def test_invariants(self, g):
         _check_invariants(H.csr_of(g))
+
+    @pytest.mark.parametrize("g", [H.triangle(), H.star(6),
+                                   H.small_random(40, 4, 1)],
+                             ids=["triangle", "star", "random"])
+    def test_from_arcs_rebuilds(self, g):
+        """The four shipped arrays, narrowed to int32, rebuild every
+        field; the values match build_csr's."""
+        csr = H.csr_of(g)
+        back = from_arcs(csr.indptr, csr.indices.astype(np.int32),
+                         csr.edge_ids.astype(np.int32),
+                         csr.rev.astype(np.int32))
+        for f in ("indptr", "indices", "tails", "edge_ids", "rev", "pos",
+                  "edges"):
+            assert np.array_equal(getattr(back, f), getattr(csr, f)), f
+        assert back.n == csr.n and back.n_edges == csr.n_edges
 
     def test_neighbors_triangle(self):
         csr = H.csr_of(H.triangle())
