@@ -112,15 +112,14 @@ def hh_estimate(nodes: np.ndarray, t_counts: np.ndarray, degrees: np.ndarray,
 
 
 def ht_estimate(nodes: np.ndarray, t_counts: np.ndarray, degrees: np.ndarray,
-                n_edges: int, n_steps: np.ndarray | None = None,
-                thin: int = 1) -> np.ndarray:
+                n_edges: int, n_steps: np.ndarray | None = None) -> np.ndarray:
     """NE-HT per run (Eq. 13); k in the inclusion probability is the
     run's own in-budget step count."""
     b, length = nodes.shape
     steps = np.full(b, length, dtype=np.int64) if n_steps is None else n_steps
     out = np.empty(b, dtype=np.float64)
     for i in range(b):
-        ids = nodes[i, : steps[i]: thin]
+        ids = nodes[i, : steps[i]]
         uniq = np.unique(ids)
         pi = degrees[uniq] / (2.0 * n_edges)
         incl = estimators.ht_inclusion_prob(pi, ids.size)

@@ -2,10 +2,12 @@
 
 The paper evaluates on SNAP/KONECT Facebook, Google+, Pokec, Orkut and
 LiveJournal, which are not available offline. This module generates
-Barabási–Albert (preferential attachment) graphs — connected by
-construction, heavy-tailed degree distributions — plus the three label
-schemes the paper uses: binary "gender" labels, Zipf-distributed
-"location" labels, and node degree as label (Orkut/LiveJournal).
+two topologies — Barabási–Albert (preferential attachment) graphs,
+connected by construction with heavy-tailed degrees, and clique
+communities joined by random links — plus the three label schemes the
+paper uses: binary "gender" labels by community majority
+(Facebook/Google+), Zipf-distributed "location" labels (Pokec), and
+node degree as label (Orkut/LiveJournal).
 
 Everything is deterministic in ``seed``.
 """
@@ -97,43 +99,6 @@ def ba_edges(n: int, m: int, seed: int = 0) -> np.ndarray:
     # Dedup is a no-op for BA (targets are distinct per node and new nodes
     # are new), but keeps the contract explicit.
     return np.unique(out, axis=0)
-
-
-def gender_labels(n: int, p: float, seed: int = 0) -> np.ndarray:
-    """i.i.d. binary labels {1, 2}; label 1 with probability ``p``.
-
-    Expected cross-edge fraction is ``2 p (1-p)``.
-    """
-    rng = np.random.default_rng(seed)
-    return np.where(rng.random(n) < p, 1, 2).astype(np.int64)
-
-
-def homophilous_binary_labels(edges: np.ndarray, n: int, p: float,
-                              smoothing: float, seed: int = 0) -> np.ndarray:
-    """Binary labels {1, 2} with homophily (assortative mixing).
-
-    Draw i.i.d. Gaussians, add ``smoothing`` times the neighbor mean,
-    and threshold at the p-quantile so exactly ~p of nodes get label 1.
-    ``smoothing = 0`` recovers i.i.d. labels; larger values cluster
-    same-label nodes, pushing the cross-edge fraction below
-    ``2 p (1-p)``. Real OSN gender labels are assortative, and that
-    spatial correlation is what makes NeighborExploration's
-    consecutive samples redundant on high-frequency labels (the
-    paper's finding 4) — i.i.d. labels cannot reproduce it.
-    """
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n)
-    if smoothing > 0:
-        deg = np.bincount(edges[:, 0], minlength=n) + np.bincount(
-            edges[:, 1], minlength=n
-        )
-        nbr_sum = np.bincount(edges[:, 0], weights=z[edges[:, 1]], minlength=n)
-        nbr_sum += np.bincount(edges[:, 1], weights=z[edges[:, 0]], minlength=n)
-        x = z + smoothing * nbr_sum / np.maximum(deg, 1)
-    else:
-        x = z
-    thresh = np.quantile(x, p)
-    return np.where(x <= thresh, 1, 2).astype(np.int64)
 
 
 def zipf_labels(n: int, n_labels: int, alpha: float = 1.05, seed: int = 0) -> np.ndarray:
@@ -271,16 +236,17 @@ def community_majority_labels(n: int, n_comm: int, mu: float, q: float = 0.5,
 def social_graph(
     n: int,
     m: int,
-    label_scheme: str = "gender",
+    label_scheme: str,
     seed: int = 0,
     name: str = "graph",
     **kw,
 ) -> LabeledGraph:
-    """Generate a labeled BA graph.
+    """Generate a labeled graph.
 
-    label_scheme: "gender" (kw: p, smoothing), "community_gender"
-    (kw: n_comm, inter_m, mu, q — clique-community topology, ``m`` is
-    ignored), "zipf" (kw: n_labels, alpha) or "degree" (kw: log_base).
+    label_scheme: "community_gender" (kw: n_comm, inter_m, mu, q,
+    mu_conc, size_spread — clique-community topology, ``m`` is
+    ignored), or a BA topology with "zipf" (kw: n_labels, alpha) or
+    "degree" labels.
     """
     if label_scheme == "community_gender":
         spread = kw.get("size_spread", 0.0)
@@ -297,12 +263,7 @@ def social_graph(
         return g.with_labels(labels, name)
     edges = ba_edges(n, m, seed=seed)
     g = LabeledGraph(n, edges, np.zeros(n, dtype=np.int64), name=name)
-    if label_scheme == "gender":
-        labels = homophilous_binary_labels(
-            edges, n, p=kw.get("p", 0.5),
-            smoothing=kw.get("smoothing", 0.0), seed=seed + 1,
-        )
-    elif label_scheme == "zipf":
+    if label_scheme == "zipf":
         labels = zipf_labels(
             n, n_labels=kw.get("n_labels", 100), alpha=kw.get("alpha", 1.05),
             seed=seed + 1,

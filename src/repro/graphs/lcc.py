@@ -18,7 +18,10 @@ def connected_components(spark: SparkSession, edges: DataFrame, max_iter: int = 
 
     ``edges`` has columns (src, dst). Iterates min-propagation over the
     symmetric edge relation until a fixpoint; localCheckpoint every
-    round keeps the plan linear in size.
+    round keeps the plan linear in size. The minimum id moves one hop
+    per round, so a component of diameter D needs up to D + 1 rounds;
+    raises ``RuntimeError`` if ``max_iter`` rounds do not reach the
+    fixpoint.
     """
     sym = edges.select("src", "dst").union(
         edges.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
@@ -57,6 +60,8 @@ def connected_components(spark: SparkSession, edges: DataFrame, max_iter: int = 
         comp = new_comp
         if changed == 0:
             break
+    else:
+        raise RuntimeError(f"components not converged within {max_iter} rounds")
     return comp
 
 

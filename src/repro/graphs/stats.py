@@ -100,9 +100,3 @@ def pair_counts(edges: DataFrame, labels: DataFrame) -> DataFrame:
         .agg(F.count("*").alias("n_edges"))
     )
 
-
-def basic_stats(edges: DataFrame) -> dict:
-    """|V| (nodes with ≥1 edge), |E| — the Table 1 quantities."""
-    n_edges = edges.count()
-    n_nodes = degrees_df(edges).count()
-    return {"n_nodes": int(n_nodes), "n_edges": int(n_edges)}

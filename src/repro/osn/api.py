@@ -6,8 +6,9 @@ labels; |V| and |E| are prior knowledge. This module simulates that
 interface over a generated graph and counts API calls, and provides
 *sequential reference implementations* of the paper's samplers written
 directly against the API (Algorithm 1 / Algorithm 2 verbatim). The
-vectorized Spark-scale engines in ``repro.core`` are validated against
-these references in the tests.
+vectorized Spark-scale engines in ``repro.core`` are tested against
+these references: with one walker and the same seed they draw the same
+edges and nodes.
 """
 from __future__ import annotations
 

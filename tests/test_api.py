@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from repro.core import neighbor_exploration as ne
+from repro.core import neighbor_sample as ns
 from repro.graphs.csr import edge_indicator
 from repro.osn import api as osn_api
 from tests import _helpers as H
@@ -103,3 +105,42 @@ class TestReferenceSamplers:
             ]
             ests.append(g.n_edges * np.mean(hits))
         assert np.mean(ests) == pytest.approx(F, rel=0.15)
+
+
+GRAPHS = {
+    "path4": H.path4,
+    "star": H.star,
+    "random40": lambda: H.small_random(40, 4, seed=21),
+    "random60": lambda: H.small_random(60, 6, seed=22),
+    "random120": lambda: H.small_random(120, 8, seed=23),
+}
+
+
+class TestEngineMatchesReference:
+    """With one walker and the same seed, the vectorized engines draw
+    exactly what the sequential API samplers draw."""
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_neighbor_sample(self, graph):
+        g = GRAPHS[graph]()
+        csr = H.csr_of(g)
+        for seed in range(10):
+            a = osn_api.RestrictedGraphAPI(csr, g.labels)
+            ref = osn_api.neighbor_sample_ref(
+                a, 20, 10, np.random.default_rng(seed))
+            ref_ids = [csr.edge_ids[csr.arc_of(u, v)] for u, v in ref]
+            eids = ns.sample_edges_batch(
+                csr, 20, 10, 1, np.random.default_rng(seed))
+            assert eids[0].tolist() == ref_ids, seed
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_neighbor_exploration(self, graph):
+        g = GRAPHS[graph]()
+        csr = H.csr_of(g)
+        for seed in range(10):
+            a = osn_api.RestrictedGraphAPI(csr, g.labels)
+            ref, _ = osn_api.neighbor_exploration_ref(
+                a, 20, 10, 1, 2, np.random.default_rng(seed))
+            nodes = ne.sample_nodes_batch(
+                csr, 20, 10, 1, np.random.default_rng(seed))
+            assert nodes[0].tolist() == ref, seed

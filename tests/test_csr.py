@@ -79,7 +79,7 @@ class TestBuildCSR:
         _check_invariants(H.csr_of(g))
 
     def test_on_generated_graph(self):
-        g = social_graph(300, 5, seed=3)
+        g = social_graph(300, 5, label_scheme="degree", seed=3)
         _check_invariants(H.csr_of(g))
 
 

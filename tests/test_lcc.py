@@ -35,8 +35,15 @@ class TestConnectedComponents:
         # two size-3 components: {2,3,4} and {5,6,7}; tie broken by min id
         assert got == [2, 3, 4]
 
+    def test_unconverged_raises(self, spark):
+        """A 12-node path needs 12 rounds; stopping at 3 must not return
+        half-propagated components."""
+        edges = np.array([[i, i + 1] for i in range(11)])
+        with pytest.raises(RuntimeError, match="not converged"):
+            lcc.connected_components(spark, _edges_df(spark, edges), max_iter=3)
+
     def test_generated_graph_fully_connected(self, spark):
-        g = social_graph(150, 3, seed=2)
+        g = social_graph(150, 3, label_scheme="degree", seed=2)
         nodes = lcc.largest_component_nodes(spark, edges_df(spark, g)).toPandas()
         assert len(nodes) == g.n
 

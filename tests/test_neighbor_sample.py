@@ -91,18 +91,3 @@ class TestHT:
         est = ns.ht_estimate(eids, ind, csr.n_edges)
         assert 0.5 * F < est.mean() < 1.05 * F
 
-    def test_thinning_reduces_samples(self, setup):
-        g, csr, ind, F = setup
-        rng = np.random.default_rng(4)
-        eids = ns.sample_edges_batch(csr, 40, 50, 50, rng)
-        est_full = ns.ht_estimate(eids, ind, csr.n_edges, thin=1)
-        est_thin = ns.ht_estimate(eids, ind, csr.n_edges, thin=4)
-        # thinned estimator uses k/4 samples -> larger spread
-        assert est_thin.std() > est_full.std() * 0.8
-
-    def test_thin_equivalent_to_slice(self, setup):
-        g, csr, ind, F = setup
-        eids = np.arange(20).reshape(1, 20)
-        a = ns.ht_estimate(eids, ind, csr.n_edges, thin=5)
-        b = ns.ht_estimate(eids[:, ::5], ind, csr.n_edges, thin=1)
-        assert a[0] == pytest.approx(b[0])

@@ -164,10 +164,3 @@ class TestPairCounts:
         total = stats.pair_counts(e, l).agg(F.sum("n_edges")).collect()[0][0]
         assert total == g.n_edges
 
-
-class TestBasicStats:
-    def test_values(self, spark, g, dfs):
-        e, _ = dfs
-        s = stats.basic_stats(e)
-        assert s["n_edges"] == g.n_edges
-        assert s["n_nodes"] == int((g.degrees > 0).sum())

@@ -56,43 +56,3 @@ class TestSRW:
             10, np.random.default_rng(10))
         assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
 
-
-class TestMH:
-    def test_uniform_target(self, small):
-        """MH targeting the uniform distribution visits nodes equally."""
-        g, csr = small
-        rng = np.random.default_rng(3)
-        log_t = np.zeros(g.n)  # pi ~ const
-        pos = walks.uniform_starts(csr, 600, rng)
-        for _ in range(150):
-            pos = walks.mh_step(csr, pos, rng, log_t)
-        counts = np.zeros(g.n)
-        for _ in range(150):
-            pos = walks.mh_step(csr, pos, rng, log_t)
-            counts += np.bincount(pos, minlength=g.n)
-        freq = counts / counts.sum()
-        assert np.abs(freq - 1.0 / g.n).max() < 0.01
-
-    def test_degree_target_recovers_srw(self, small):
-        """MH targeting pi ~ d accepts every proposal (it *is* the SRW)."""
-        g, csr = small
-        rng1 = np.random.default_rng(4)
-        rng2 = np.random.default_rng(4)
-        log_t = np.log(csr.degrees.astype(float))
-        pos = walks.uniform_starts(csr, 50, np.random.default_rng(5))
-        mh = walks.mh_step(csr, pos.copy(), rng1, log_t)
-        srw, _ = walks.srw_step(csr, pos.copy(), rng2)
-        # same generator sequence, acceptance always 1 -> same proposals
-        assert (mh == srw).all()
-
-    def test_stays_on_graph(self, small):
-        g, csr = small
-        rng = np.random.default_rng(6)
-        pos = walks.uniform_starts(csr, 100, rng)
-        for _ in range(20):
-            new = walks.mh_step(csr, pos, rng, -np.log(csr.degrees.astype(float)))
-            moved = new != pos
-            # every move follows an edge
-            for u, v in zip(pos[moved], new[moved]):
-                assert v in csr.neighbors(u)
-            pos = new
